@@ -9,16 +9,18 @@
 // off by +/-1 cycle) and that Q* (Q gated on the peaks being at location 1)
 // rejects the off-by-one lines.
 //
-// refine() runs the search through a per-refine evaluation cache: for a
-// fixed dt the 10 preamble windows are extracted once and shared across
-// both CFO lines, and each evaluated (dt, df) point stores both its
-// ungated value and its Q* gate verdict — so the gated -> ungated fallback
-// and the phase-3 points that revisit the phase-2 grid cost nothing. The
-// cache is bit-exact: every point is still the exact objective (spectra
-// are keyed by the full CFO including df, never approximated), and ties
-// are resolved in the original search order, so refine() returns exactly
-// what an uncached grid search over q() returns (pinned by
-// tests/test_demod_workspace.cpp).
+// Phases 2/3 and q() evaluate Q through its integer-offset decomposition
+// (DESIGN.md §9): the coherent up/down sums at a fractional start are the
+// linear interpolation of the sums of the windows at the two neighbouring
+// integer offsets, and a whole CFO cycle is a one-bin circular shift of
+// those sums. Each integer offset therefore costs one 10-window batch of
+// transforms, computed lazily at one canonical CFO, and every (dt, df)
+// point is a shifted lerp + fold + argmax. The decomposition is exact in
+// real arithmetic; in float it agrees with the direct
+// extract -> dechirp -> FFT -> rotate-sum evaluation to ~1e-6 relative
+// (bounded in tests/test_demod_workspace.cpp). refine() and q() share the
+// one evaluation path, so refine() returns exactly what a grid search over
+// q() returns, ties resolved in the original search order.
 #pragma once
 
 #include <span>
@@ -42,9 +44,9 @@ class FracSync {
 
   /// Refines (t0, cfo) of a coarsely-synchronized packet whose preamble
   /// starts at `t0` in `trace`. Add the returned dt/df to the coarse
-  /// values. `ws` supplies all scratch (general slots 0-3 and SV slots
-  /// 0-1 are clobbered); the overload without one uses a per-thread
-  /// workspace.
+  /// values. `ws` supplies all scratch (general slots 0, 2, 3 and 4 and SV
+  /// slots 0-1 are clobbered); the overload without one uses a per-thread
+  /// workspace. A warm workspace makes the call allocation-free.
   FracSyncResult refine(std::span<const cfloat> trace, double t0,
                         double cfo_cycles, lora::Workspace& ws) const;
   FracSyncResult refine(std::span<const cfloat> trace, double t0,
@@ -57,22 +59,32 @@ class FracSync {
            double dt, double df, bool gate) const;
 
  private:
-  /// One exact objective evaluation: the ungated value plus the Q* gate
+  /// One objective evaluation: the ungated value plus the Q* gate
   /// verdict, so a single computation serves both gatings.
   struct QEval {
     double value = 0.0;
     bool gate_pass = false;
   };
 
-  /// Extracts the 10 preamble windows (8 up, 2 down) starting at `start`
-  /// (= t0 + dt) into the workspace window block.
-  void extract_preamble(std::span<const cfloat> trace, double start,
-                        lora::Workspace& ws) const;
+  /// Q(dt, df) around one coarse estimate, from lazily computed
+  /// integer-offset preamble sums (defined in frac_sync.cpp).
+  class Objective;
 
-  /// Evaluates the objective from the extracted window block at the full
-  /// CFO correction `cfo` (= coarse + df); `theta` (= t0 + dt) selects the
-  /// interpolation-gain normalization.
-  QEval eval_preamble(double theta, double cfo, lora::Workspace& ws) const;
+  /// Extracts the 10 preamble windows (8 up, 2 down) starting at `start`
+  /// and dechirps + transforms them in place at CFO `cfo` into the
+  /// workspace block (two batched invocations, split on chirp direction).
+  void preamble_spectra(std::span<const cfloat> trace, double start,
+                        double cfo, lora::Workspace& ws) const;
+
+  /// Zeroes `up_sum`/`down_sum` (sps each) and accumulates the block's
+  /// 8 upchirp / 2 downchirp spectra into them with the inter-symbol phase
+  /// rotation of CFO `cfo`.
+  void coherent_sums(const cfloat* spectra, double cfo, cfloat* up_sum,
+                     cfloat* down_sum) const;
+
+  /// Peak energy (ungated) and gate verdict of one pair of coherent sums.
+  QEval peak(std::span<const cfloat> up_sum, std::span<const cfloat> down_sum,
+             lora::Workspace& ws) const;
 
   lora::Params p_;
   lora::Demodulator demod_;

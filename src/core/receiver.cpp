@@ -148,8 +148,8 @@ std::vector<DetectedPacket> Receiver::detect(
         found = detector.detect(ant, ws);
       }
       if (opt_.use_frac_sync) {
-        const obs::ScopedSpan span(obs_.stages.frac_sync);
         for (DetectedPacket& det : found) {
+          const obs::ScopedSpan span(obs_.stages.frac_sync);  // per refine
           const FracSyncResult r =
               fsync.refine(ant, det.t0, det.cfo_cycles, ws);
           // Only trust the refinement when the Q* gate confirmed it: with a

@@ -1,15 +1,20 @@
 // Pins the bit-identity contract of the zero-allocation demodulation
 // kernels (DESIGN.md "Hot-path kernels"):
 //  - dechirp_fft / signal_vector (by-value) vs the *_into workspace kernels,
-//  - FracSync::refine with its per-refine evaluation cache vs a reference
-//    reimplementation of the uncached three-phase search,
+//  - FracSync::refine vs a reference reimplementation of the three-phase
+//    search over q(), and the integer-offset decomposition behind q() vs a
+//    direct evaluation of the objective (tolerance-bounded),
 //  - zero heap allocations in a warm workspace's steady-state demod loop,
 //  - fold() reusing a correctly-sized output without churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <utility>
 #include <new>
 #include <vector>
 
@@ -150,6 +155,36 @@ TEST(DemodWorkspace, FoldReusesCorrectlySizedOutput) {
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)));
 }
 
+/// Builds a trace with two collided packets and returns it; t0s/cfos get
+/// the ground-truth placement of each packet.
+IqBuffer make_collided_trace(const lora::Params& p, std::vector<double>& t0s,
+                             std::vector<double>& cfos) {
+  const lora::Modulator mod(p);
+  std::vector<std::uint8_t> app(10, 0x3C);
+  const auto symbols = lora::make_packet_symbols(p, app);
+  const double sps = static_cast<double>(p.sps());
+  IqBuffer trace(mod.packet_samples(symbols.size()) +
+                     static_cast<std::size_t>(14.0 * sps),
+                 cfloat{0.0f, 0.0f});
+  const double starts[2] = {2.0 * sps + 0.37, 6.0 * sps + 0.81};
+  const double cfo_hz[2] = {1700.0, -2300.0};
+  const double amps[2] = {1.0, 2.4};
+  for (int k = 0; k < 2; ++k) {
+    lora::WaveformOptions w;
+    w.frac_delay = starts[k] - std::floor(starts[k]);
+    w.cfo_hz = cfo_hz[k];
+    w.amplitude = amps[k];
+    const IqBuffer pkt = mod.synthesize(symbols, w);
+    const auto off = static_cast<std::size_t>(std::floor(starts[k]));
+    for (std::size_t s = 0; s < pkt.size() && off + s < trace.size(); ++s) {
+      trace[off + s] += pkt[s];
+    }
+    t0s.push_back(starts[k]);
+    cfos.push_back(p.cfo_hz_to_cycles(cfo_hz[k]));
+  }
+  return trace;
+}
+
 // --- steady-state allocation freedom --------------------------------------
 
 TEST(DemodWorkspace, WarmWorkspaceDemodAllocatesNothing) {
@@ -174,19 +209,38 @@ TEST(DemodWorkspace, WarmWorkspaceDemodAllocatesNothing) {
   EXPECT_EQ(before, after)
       << "steady-state demod loop performed " << (after - before)
       << " heap allocations";
+
+  // A second refine on the warm workspace: the integer-offset sums, the
+  // phase-2 grid and every phasor table are already in place.
+  const rx::FracSync fsync(p);
+  std::vector<double> t0s, cfos;
+  const IqBuffer trace = make_collided_trace(p, t0s, cfos);
+  const double t0 = std::floor(t0s[0]) + 0.3;
+  const double cfo = std::floor(cfos[0] + 0.5);
+  const rx::FracSyncResult first = fsync.refine(trace, t0, cfo, ws);
+  const std::size_t refine_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  const rx::FracSyncResult second = fsync.refine(trace, t0, cfo, ws);
+  const std::size_t refine_after =
+      g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(refine_before, refine_after)
+      << "warm refine performed " << (refine_after - refine_before)
+      << " heap allocations";
+  EXPECT_EQ(first.q, second.q);
 }
 
 // --- FracSync: cached refine vs reference uncached search ------------------
 
+/// Phases 2/3 objective of the reference search: Q or Q* at (dt, df).
+using Objective = std::function<double(double dt, double df, bool gate)>;
+
 /// Reference reimplementation of the uncached three-phase refine() exactly
 /// as it was originally written: phase 1 with by-value dechirp_fft and
-/// std::complex rotate-and-add, phases 2/3 as a plain grid search over the
-/// public exact objective q(). Production refine() must return bit-equal
-/// results through its evaluation cache.
-rx::FracSyncResult reference_refine(const lora::Params& p,
-                                    const rx::FracSync& fsync,
+/// std::complex rotate-and-add, phases 2/3 as a plain grid search over
+/// `q`.
+rx::FracSyncResult reference_search(const lora::Params& p,
                                     std::span<const cfloat> trace, double t0,
-                                    double cfo_cycles) {
+                                    double cfo_cycles, const Objective& q) {
   const std::size_t sps = p.sps();
   const lora::Demodulator demod(p);
   std::vector<std::vector<cfloat>> up_spec, down_spec;
@@ -238,7 +292,7 @@ rx::FracSyncResult reference_refine(const lora::Params& p,
     const double df = df_star + static_cast<double>(line);
     for (int i = -2; i <= 2; ++i) {
       const double dt = static_cast<double>(i) / 2.0;
-      const double v = fsync.q(trace, t0, cfo_cycles, dt, df, /*gate=*/true);
+      const double v = q(dt, df, /*gate=*/true);
       if (v > best_q2) {
         best_q2 = v;
         dt_hat = dt;
@@ -252,7 +306,7 @@ rx::FracSyncResult reference_refine(const lora::Params& p,
       const double df = df_star + static_cast<double>(line);
       for (int i = -2; i <= 2; ++i) {
         const double dt = static_cast<double>(i) / 2.0;
-        const double v = fsync.q(trace, t0, cfo_cycles, dt, df, /*gate=*/false);
+        const double v = q(dt, df, /*gate=*/false);
         if (v > best_q2) {
           best_q2 = v;
           dt_hat = dt;
@@ -266,7 +320,7 @@ rx::FracSyncResult reference_refine(const lora::Params& p,
   for (unsigned i = 0; i <= p.osf; ++i) {
     const double dt =
         dt_hat - 0.5 + static_cast<double>(i) / static_cast<double>(p.osf);
-    const double v = fsync.q(trace, t0, cfo_cycles, dt, df_hat, gated);
+    const double v = q(dt, df_hat, gated);
     if (v > best_q3) {
       best_q3 = v;
       dt_fin = dt;
@@ -281,34 +335,16 @@ rx::FracSyncResult reference_refine(const lora::Params& p,
   return r;
 }
 
-/// Builds a trace with two collided packets and returns it; t0s/cfos get
-/// the ground-truth placement of each packet.
-IqBuffer make_collided_trace(const lora::Params& p, std::vector<double>& t0s,
-                             std::vector<double>& cfos) {
-  const lora::Modulator mod(p);
-  std::vector<std::uint8_t> app(10, 0x3C);
-  const auto symbols = lora::make_packet_symbols(p, app);
-  const double sps = static_cast<double>(p.sps());
-  IqBuffer trace(mod.packet_samples(symbols.size()) +
-                     static_cast<std::size_t>(14.0 * sps),
-                 cfloat{0.0f, 0.0f});
-  const double starts[2] = {2.0 * sps + 0.37, 6.0 * sps + 0.81};
-  const double cfo_hz[2] = {1700.0, -2300.0};
-  const double amps[2] = {1.0, 2.4};
-  for (int k = 0; k < 2; ++k) {
-    lora::WaveformOptions w;
-    w.frac_delay = starts[k] - std::floor(starts[k]);
-    w.cfo_hz = cfo_hz[k];
-    w.amplitude = amps[k];
-    const IqBuffer pkt = mod.synthesize(symbols, w);
-    const auto off = static_cast<std::size_t>(std::floor(starts[k]));
-    for (std::size_t s = 0; s < pkt.size() && off + s < trace.size(); ++s) {
-      trace[off + s] += pkt[s];
-    }
-    t0s.push_back(starts[k]);
-    cfos.push_back(p.cfo_hz_to_cycles(cfo_hz[k]));
-  }
-  return trace;
+/// The reference search over the public objective q(). Production
+/// refine() must return bit-equal results.
+rx::FracSyncResult reference_refine(const lora::Params& p,
+                                    const rx::FracSync& fsync,
+                                    std::span<const cfloat> trace, double t0,
+                                    double cfo_cycles) {
+  return reference_search(
+      p, trace, t0, cfo_cycles, [&](double dt, double df, bool gate) {
+        return fsync.q(trace, t0, cfo_cycles, dt, df, gate);
+      });
 }
 
 TEST(FracSyncCache, RefineMatchesUncachedReferenceOnCollidedPreambles) {
@@ -346,6 +382,148 @@ TEST(FracSyncCache, QMatchesRefineObjectiveAtChosenPoint) {
   const rx::FracSyncResult r = fsync.refine(trace, t0, cfo);
   const double direct = fsync.q(trace, t0, cfo, r.dt, r.df, r.gated);
   EXPECT_EQ(direct, r.q);
+}
+
+// --- FracSync: decomposed objective vs direct evaluation -------------------
+
+/// Q(dt, df) evaluated directly, as the objective is defined: the 10
+/// preamble windows extracted at the fractional start t0 + dt, dechirped
+/// and transformed at the full CFO cfo + df, rotate-summed in
+/// std::complex, folded. `margin` is the smaller of the two sums'
+/// relative gap between bin 0 and the best other bin: the gate verdict
+/// is only well-defined when it exceeds the comparison tolerance.
+struct DirectQ {
+  double value = 0.0;
+  bool gate = false;
+  double margin = 0.0;
+};
+
+DirectQ direct_q(const lora::Params& p, std::span<const cfloat> trace,
+                 double t0, double cfo_cycles, double dt, double df) {
+  const std::size_t sps = p.sps();
+  const lora::Demodulator demod(p);
+  const double cfo = cfo_cycles + df;
+  std::vector<cfloat> window(sps), up_sum(sps), down_sum(sps);
+  auto add = [&](std::vector<cfloat>& sum, int m, bool up) {
+    rx::extract_window(trace, t0 + dt + m * static_cast<double>(sps), window);
+    const std::vector<cfloat> spec = demod.dechirp_fft(window, cfo, up);
+    const double ph = -kTwoPi * cfo * static_cast<double>(m);
+    const cfloat rot{static_cast<float>(std::cos(ph)),
+                     static_cast<float>(std::sin(ph))};
+    for (std::size_t k = 0; k < sps; ++k) sum[k] += spec[k] * rot;
+  };
+  for (int m = 0; m < static_cast<int>(lora::kPreambleUpchirps); ++m) {
+    add(up_sum, m, true);
+  }
+  for (int m = 10; m <= 11; ++m) add(down_sum, m, false);
+
+  SignalVector up_sv, down_sv;
+  demod.fold(up_sum, up_sv);
+  demod.fold(down_sum, down_sv);
+  auto margin = [](const SignalVector& sv) {
+    const float other = *std::max_element(sv.begin() + 1, sv.end());
+    const float top = std::max(sv[0], other);
+    return std::abs(static_cast<double>(sv[0]) - other) / top;
+  };
+  // Band-average power gain of the linear interpolator (frac_sync.cpp).
+  const double theta = (t0 + dt) - std::floor(t0 + dt);
+  const double x = kPi / static_cast<double>(p.osf);
+  const double mean_cos = p.osf == 1 ? 0.0 : std::sin(x) / x;
+  const double gain = (1.0 - theta) * (1.0 - theta) + theta * theta +
+                      2.0 * theta * (1.0 - theta) * mean_cos;
+
+  DirectQ d;
+  d.value = (static_cast<double>(
+                 up_sv[lora::Demodulator::argmax(up_sv)]) +
+             static_cast<double>(
+                 down_sv[lora::Demodulator::argmax(down_sv)])) /
+            gain;
+  d.gate = lora::Demodulator::argmax(up_sv) == 0 &&
+           lora::Demodulator::argmax(down_sv) == 0;
+  d.margin = std::min(margin(up_sv), margin(down_sv));
+  return d;
+}
+
+constexpr double kObjectiveTol = 1e-4;
+
+TEST(FracSyncObjective, DecompositionMatchesDirectEvaluation) {
+  Rng rng(21);
+  for (unsigned sf = 7; sf <= 12; ++sf) {
+    for (const unsigned osf : {1u, 8u}) {
+      const lora::Params p = make_params(sf, osf);
+      const rx::FracSync fsync(p);
+      const lora::Modulator mod(p);
+      const auto symbols =
+          lora::make_packet_symbols(p, std::vector<std::uint8_t>(4, 0xA5));
+      const std::size_t sps = p.sps();
+      lora::WaveformOptions w;
+      w.frac_delay = 0.62;
+      w.cfo_hz = 5.3 / p.symbol_time_s();  // 5.3 cycles per symbol
+      const IqBuffer pkt = mod.synthesize(symbols, w);
+      IqBuffer trace(pkt.size() + 4 * sps);
+      for (auto& v : trace) v = rng.complex_normal(0.05);
+      const std::size_t off = 2 * sps;
+      for (std::size_t s = 0; s < pkt.size(); ++s) trace[off + s] += pkt[s];
+      const double c = std::floor(p.cfo_hz_to_cycles(w.cfo_hz) + 0.5);
+
+      // (coarse CFO, df) pairs, true CFO 5.3: the correct line reached
+      // with 0, +1 and -1 whole cycles of df (a Q* pass must read the sums
+      // shifted the right way), an off line one cycle over, and an integer
+      // line two cycles off.
+      const std::pair<double, double> lines[] = {
+          {c, 0.3125}, {c - 1, 1.3125}, {c + 1, -0.6875}, {c, 1.3125},
+          {c, 2.0}};
+      std::size_t gates_checked = 0, shifted_passes = 0;
+      // Fractional coarse starts around the true one (off + 0.62); dt hits
+      // both integer and fractional window starts.
+      for (const double t0 : {off + 0.25, off + 0.87}) {
+        for (const double dt : {-1.25, 0.0, 0.75}) {
+          for (const auto& [cfo, df] : lines) {
+            SCOPED_TRACE(::testing::Message()
+                         << "sf=" << sf << " osf=" << osf << " t0=" << t0
+                         << " dt=" << dt << " cfo=" << cfo << " df=" << df);
+            const DirectQ ref = direct_q(p, trace, t0, cfo, dt, df);
+            // Q* is either 0 (gate failed) or Q itself.
+            const double gated = fsync.q(trace, t0, cfo, dt, df, true);
+            const double got =
+                gated != 0.0 ? gated : fsync.q(trace, t0, cfo, dt, df, false);
+            EXPECT_LE(std::abs(got - ref.value), kObjectiveTol * ref.value);
+            if (ref.margin > kObjectiveTol) {
+              ++gates_checked;
+              EXPECT_EQ(ref.gate, gated != 0.0);
+              if (ref.gate && std::floor(df) != 0.0) ++shifted_passes;
+            }
+          }
+        }
+      }
+      EXPECT_GT(gates_checked, 0u) << "sf=" << sf << " osf=" << osf;
+      EXPECT_GT(shifted_passes, 0u) << "sf=" << sf << " osf=" << osf;
+    }
+  }
+}
+
+TEST(FracSyncObjective, RefineMatchesDirectSearchOnCollidedPreambles) {
+  for (const unsigned sf : {8u, 12u}) {
+    const lora::Params p = make_params(sf, sf == 8 ? 2 : 8);
+    const rx::FracSync fsync(p);
+    std::vector<double> t0s, cfos;
+    const IqBuffer trace = make_collided_trace(p, t0s, cfos);
+    for (std::size_t k = 0; k < t0s.size(); ++k) {
+      const double t0 = std::floor(t0s[k]);
+      const double cfo = std::floor(cfos[k] + 0.5);
+      const rx::FracSyncResult ref = reference_search(
+          p, trace, t0, cfo, [&](double dt, double df, bool gate) {
+            const DirectQ d = direct_q(p, trace, t0, cfo, dt, df);
+            return gate && !d.gate ? 0.0 : d.value;
+          });
+      const rx::FracSyncResult got = fsync.refine(trace, t0, cfo);
+      EXPECT_EQ(ref.dt, got.dt) << "sf=" << sf << " packet " << k;
+      EXPECT_EQ(ref.df, got.df) << "sf=" << sf << " packet " << k;
+      EXPECT_EQ(ref.gated, got.gated) << "sf=" << sf << " packet " << k;
+      EXPECT_LE(std::abs(ref.q - got.q), kObjectiveTol * ref.q)
+          << "sf=" << sf << " packet " << k;
+    }
+  }
 }
 
 }  // namespace

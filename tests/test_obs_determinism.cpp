@@ -81,6 +81,11 @@ TEST(ObsDeterminism, ReceiverDecodeIsBitIdenticalWithMetricsOn) {
     ASSERT_NE(m, nullptr) << stage;
     EXPECT_GT(m->count, 0u) << stage;
   }
+  // frac_sync is timed per refine: one observation per detection (one
+  // antenna, so every detection was refined once).
+  EXPECT_EQ(snap.find(obs::kStageMetricName, {{"stage", obs::kStageFracSync}})
+                ->count,
+            stats_on.detected);
   // All seven registered regardless of whether the trace exercised them.
   EXPECT_NE(snap.find(obs::kStageMetricName, {{"stage", obs::kStageBec}}),
             nullptr);
