@@ -1,7 +1,7 @@
 // Microbenchmarks of TnB's computational kernels (google-benchmark):
 // FFT, signal-vector computation (by-value and workspace kernels), peak
-// finding, frac-sync refinement, BEC block decoding, and Thrive's
-// per-checking-point assignment.
+// finding, packet detection, frac-sync refinement, BEC block decoding, and
+// Thrive's per-checking-point assignment.
 //
 // Invoked by the CI perf-smoke job as
 //   bench_micro_components --benchmark_out=BENCH_micro.json
@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "core/bec.hpp"
+#include "core/detect.hpp"
 #include "core/frac_sync.hpp"
 #include "core/thrive.hpp"
 #include "dsp/fft.hpp"
@@ -26,6 +27,8 @@
 #include "lora/frame.hpp"
 #include "lora/hamming.hpp"
 #include "lora/modulator.hpp"
+#include "sim/deployment.hpp"
+#include "sim/trace_builder.hpp"
 
 using namespace tnb;
 
@@ -129,6 +132,28 @@ void BM_FracSyncRefine(benchmark::State& state) {
 }
 BENCHMARK(BM_FracSyncRefine)->Arg(8)->Arg(10)->Arg(12)
     ->Unit(benchmark::kMillisecond);
+
+void BM_DetectorDetect(benchmark::State& state) {
+  // Detector::detect over a collided capture as tnb_gen makes it (indoor
+  // deployment, 8 packets/s, 4 s of air, seed 7; OSF 8): the detect
+  // pipeline stage per decode, on a warm workspace.
+  const unsigned sf = static_cast<unsigned>(state.range(0));
+  const lora::Params p{.sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
+  Rng rng(7);
+  sim::TraceOptions opt;
+  opt.duration_s = 4.0;
+  opt.load_pps = 8.0;
+  opt.nodes = sim::indoor_deployment().draw_nodes(rng);
+  const sim::Trace trace = sim::build_trace(p, opt, rng);
+  const rx::Detector det(p);
+  lora::Workspace ws(p);
+  for (auto _ : state) {
+    const auto found = det.detect(trace.iq, ws);
+    benchmark::DoNotOptimize(found.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_DetectorDetect)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
 
 void BM_PeakFinder(benchmark::State& state) {
   Rng rng(2);

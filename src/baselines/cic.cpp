@@ -117,7 +117,7 @@ std::vector<rx::Assignment> CicAssigner::assign(const rx::AssignInput& in) {
           subwindow_spectrum(in, w, cuts[c], cuts[c + 1], cfo);
       ++n_subwindows;
       std::vector<double> tmp(sub.begin(), sub.end());
-      const double med = std::max(dsp::median_of(tmp), 1e-30);
+      const double med = std::max(dsp::median_in_place(tmp), 1e-30);
       // Spectral resolution of a short sub-window widens the match window.
       const int tol =
           static_cast<int>(std::lround(std::max(1.5, 0.75 * sps / len)));

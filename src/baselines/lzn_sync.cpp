@@ -18,7 +18,7 @@ namespace {
 double noise_floor(std::span<const float> x) {
   thread_local std::vector<double> tmp;
   tmp.assign(x.begin(), x.end());
-  const double med = dsp::median_of(tmp);
+  const double med = dsp::median_in_place(tmp);
   float mx = 0.0f;
   for (float v : x) mx = std::max(mx, v);
   return std::max({med, static_cast<double>(mx) * 1e-5, 1e-30});

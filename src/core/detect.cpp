@@ -1,7 +1,9 @@
 #include "core/detect.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
 
 #include "common/math_util.hpp"
 #include "core/window.hpp"
@@ -14,11 +16,12 @@ namespace {
 /// Noise-floor proxy of a signal vector: its median, kept above a tiny
 /// fraction of the maximum so noiseless traces (unit tests, saturated
 /// captures) do not make every spectral leak look significant. The median
-/// scratch is per-thread so the per-window call allocates nothing once warm.
+/// is taken in place on per-thread scratch, so the per-window call
+/// allocates nothing once warm.
 double noise_floor(std::span<const float> x) {
   thread_local std::vector<double> tmp;
   tmp.assign(x.begin(), x.end());
-  const double med = dsp::median_of(tmp);
+  const double med = dsp::median_in_place(tmp);
   float mx = 0.0f;
   for (float v : x) mx = std::max(mx, v);
   return std::max({med, static_cast<double>(mx) * 1e-5, 1e-30});
@@ -29,7 +32,30 @@ double cyclic_dist(double a, double b, double n) {
   return std::abs(wrap_half(a - b, n));
 }
 
+/// The bins step 2 reads: the preamble / downchirp bin and the two sync
+/// word shifts, in that order.
+constexpr std::array<std::size_t, 3> kCheckBins{0, lora::kSyncShift1,
+                                                lora::kSyncShift2};
+
+/// One step-2 window of a downchirp hypothesis: its noise floor and the
+/// folded energy near each of kCheckBins (max over bin-1..bin+1, cyclic).
+/// Keyed by the exact start and chirp direction; the CFO is the
+/// hypothesis's, so the memo holding these lives for one hypothesis.
+struct WindowEnergy {
+  double start = 0.0;
+  bool up = true;
+  double floor = 0.0;
+  std::array<double, kCheckBins.size()> energy{};
+};
+
 }  // namespace
+
+/// The downchirp (x2) scan reads integer-grid windows at CFO 0, so its
+/// peak list depends on the window index alone. Candidates whose scan
+/// ranges overlap share it; `peaks[k]` is filled on first use.
+struct Detector::DownScanMemo {
+  std::vector<std::optional<std::vector<dsp::Peak>>> peaks;
+};
 
 Detector::Detector(lora::Params params, DetectorOptions opt)
     : p_(params), opt_(opt), demod_(params) {
@@ -140,29 +166,9 @@ std::vector<Detector::Candidate> Detector::find_runs(
   return candidates;
 }
 
-double Detector::relative_energy_at(std::span<const cfloat> trace, double start,
-                                    double cfo_cycles, std::size_t bin, bool up,
-                                    lora::Workspace& ws) const {
-  const std::size_t sps = p_.sps();
-  const std::size_t n = p_.n_bins();
-  auto& window = ws.iq_scratch(0);
-  window.resize(sps);
-  extract_window(trace, start, window);
-  SignalVector& sv = ws.sv_scratch(0);
-  demod_.signal_vector_into(window, cfo_cycles, up, ws, sv);
-  const double floor = noise_floor(sv);
-  double e = 0.0;
-  for (int d = -1; d <= 1; ++d) {
-    const std::size_t b =
-        static_cast<std::size_t>(floor_mod(static_cast<std::int64_t>(bin) + d,
-                                           static_cast<std::int64_t>(n)));
-    e = std::max(e, static_cast<double>(sv[b]));
-  }
-  return e / floor;
-}
-
 void Detector::resolve_candidate(std::span<const cfloat> trace,
-                                 const Candidate& cand, lora::Workspace& ws,
+                                 const Candidate& cand, DownScanMemo& down,
+                                 lora::Workspace& ws,
                                  std::vector<DetectedPacket>& out) const {
   const std::size_t sps = p_.sps();
   const double n = static_cast<double>(p_.n_bins());
@@ -185,12 +191,16 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
   SignalVector& sv = ws.sv_scratch(0);
   for (std::size_t k = k_lo; k <= k_hi; ++k) {
     if ((k + 1) * sps > trace.size()) break;
-    demod_.signal_vector_into(trace.subspan(k * sps, sps), 0.0, /*up=*/false,
-                              ws, sv);
-    const double floor = noise_floor(sv);
-    pf.use_threshold = true;
-    pf.threshold = opt_.peak_floor_ratio * floor;
-    for (const dsp::Peak& pk : dsp::find_peaks(sv, pf)) {
+    std::optional<std::vector<dsp::Peak>>& peaks = down.peaks[k];
+    if (!peaks) {
+      demod_.signal_vector_into(trace.subspan(k * sps, sps), 0.0,
+                                /*up=*/false, ws, sv);
+      const double floor = noise_floor(sv);
+      pf.use_threshold = true;
+      pf.threshold = opt_.peak_floor_ratio * floor;
+      peaks = dsp::find_peaks(sv, pf);
+    }
+    for (const dsp::Peak& pk : *peaks) {
       bool merged = false;
       for (DownHyp& h : hyps) {
         if (cyclic_dist(h.x2, pk.frac_index, n) <= 1.0) {
@@ -210,6 +220,36 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
             [](const DownHyp& a, const DownHyp& b) { return a.height > b.height; });
   if (hyps.size() > 6) hyps.resize(6);
 
+  // Step 2's check for (shift j, symbol m) reads the window at
+  // t0_prelim + (j+m) symbols, so the 5 x 12 checks of one hypothesis
+  // share about 20 distinct windows. Each is demodulated once; a start
+  // that differs by even one ulp is a separate entry, never approximated.
+  std::vector<WindowEnergy> memo;
+  const std::int64_t n_bins = static_cast<std::int64_t>(p_.n_bins());
+  auto window_energy = [&](double start, double cfo_cycles,
+                           bool up) -> WindowEnergy {
+    for (const WindowEnergy& w : memo) {
+      if (w.start == start && w.up == up) return w;
+    }
+    auto& window = ws.iq_scratch(0);
+    window.resize(sps);
+    extract_window(trace, start, window);
+    demod_.signal_vector_into(window, cfo_cycles, up, ws, sv);
+    WindowEnergy w;
+    w.start = start;
+    w.up = up;
+    w.floor = noise_floor(sv);
+    for (std::size_t i = 0; i < kCheckBins.size(); ++i) {
+      for (int d = -1; d <= 1; ++d) {
+        const std::size_t b = static_cast<std::size_t>(
+            floor_mod(static_cast<std::int64_t>(kCheckBins[i]) + d, n_bins));
+        w.energy[i] = std::max(w.energy[i], static_cast<double>(sv[b]));
+      }
+    }
+    memo.push_back(w);
+    return w;
+  };
+
   int best_score = -1;
   double best_t0 = 0.0, best_eps = 0.0, best_strength = 0.0;
   for (const DownHyp& hyp : hyps) {
@@ -226,6 +266,7 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
     const double delta = floor_mod(cand.x1 - eps, n);  // chirp samples
 
     // --- Step 2: validate candidate start times at j*T offsets. ---
+    memo.clear();  // entries hold this hypothesis's CFO
     const double w0 = static_cast<double>(cand.first_window * sps);
     const double t0_prelim = w0 - delta * osf;
     for (int j = -2; j <= 2; ++j) {
@@ -234,21 +275,23 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
       if (t0 < -0.5) continue;
       int score = 0;
       double strength = 0.0;
-      auto check = [&](double sym_idx, std::size_t bin, bool up) {
+      // `slot` indexes kCheckBins.
+      auto check = [&](double sym_idx, std::size_t slot, bool up) {
         const double start = t0 + sym_idx * static_cast<double>(sps);
         if (start + static_cast<double>(sps) >
             static_cast<double>(trace.size())) {
           return;
         }
-        const double rel = relative_energy_at(trace, start, eps, bin, up, ws);
+        const WindowEnergy w = window_energy(start, eps, up);
+        const double rel = w.energy[slot] / w.floor;
         if (rel >= opt_.peak_floor_ratio) {
           ++score;
           strength += rel;
         }
       };
       for (int m = 0; m < 8; ++m) check(m, 0, true);
-      check(8.0, lora::kSyncShift1, true);
-      check(9.0, lora::kSyncShift2, true);
+      check(8.0, 1, true);
+      check(9.0, 2, true);
       check(10.0, 0, false);
       check(11.0, 0, false);
       if (score > best_score ||
@@ -282,8 +325,10 @@ std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace,
   ws.reserve(p_);
   std::vector<DetectedPacket> out;
   const std::vector<Candidate> candidates = find_runs(trace, ws);
+  DownScanMemo down;
+  down.peaks.resize(trace.size() / p_.sps());
   for (const Candidate& cand : candidates) {
-    resolve_candidate(trace, cand, ws, out);
+    resolve_candidate(trace, cand, down, ws, out);
   }
   std::sort(out.begin(), out.end(),
             [](const DetectedPacket& a, const DetectedPacket& b) {

@@ -52,8 +52,10 @@ class Detector {
   /// Detects all preambles in `trace`. Results are coarse (integer-sample
   /// timing, integer-bin CFO with interpolation refinement); feed them to
   /// FracSync for the paper's step-4 refinement. Sorted by t0. `ws`
-  /// supplies all demodulation scratch (general slot 0 and SV slot 0 are
-  /// clobbered); the overload without one uses a per-thread workspace.
+  /// supplies all demodulation scratch (general slots 0-1 and SV slot 0
+  /// are clobbered); the overload without one uses a per-thread workspace.
+  /// Each distinct window is demodulated at most once per call (DESIGN.md
+  /// §9, "Detector window memo").
   std::vector<DetectedPacket> detect(std::span<const cfloat> trace,
                                      lora::Workspace& ws) const;
   std::vector<DetectedPacket> detect(std::span<const cfloat> trace) const;
@@ -69,17 +71,13 @@ class Detector {
   std::vector<Candidate> find_runs(std::span<const cfloat> trace,
                                    lora::Workspace& ws) const;
 
+  /// Per-call memo of the downchirp scan (defined in detect.cpp).
+  struct DownScanMemo;
+
   /// Steps 2+3 for one candidate; returns validated packets (possibly none).
   void resolve_candidate(std::span<const cfloat> trace, const Candidate& cand,
-                         lora::Workspace& ws,
+                         DownScanMemo& down, lora::Workspace& ws,
                          std::vector<DetectedPacket>& out) const;
-
-  /// Folded energy near `bin` (max over bin-1..bin+1, cyclic) of the signal
-  /// vector of the window starting at `start`, relative to the vector
-  /// median. `up` selects the dechirp reference.
-  double relative_energy_at(std::span<const cfloat> trace, double start,
-                            double cfo_cycles, std::size_t bin, bool up,
-                            lora::Workspace& ws) const;
 
   lora::Params p_;
   DetectorOptions opt_;

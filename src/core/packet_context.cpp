@@ -79,7 +79,7 @@ const SymbolView& SigCalc::data_symbol(int pkt_index, const PacketContext& ctx,
                  view.sv);
   {
     median_scratch_.assign(view.sv.begin(), view.sv.end());
-    view.median = dsp::median_of(median_scratch_);
+    view.median = dsp::median_in_place(median_scratch_);
   }
   dsp::PeakFinderOptions pf;
   pf.circular = true;

@@ -14,7 +14,7 @@ double estimate_snr_db(const PacketContext& ctx, const SigCalc& sig) {
   // Median peak across the 8 preamble upchirps resists collisions hitting
   // part of the preamble.
   std::vector<double> heights = sig.preamble_heights(ctx);
-  const double peak = dsp::median_of(heights);
+  const double peak = dsp::median_in_place(heights);
 
   // Noise floor: median over the bins of one preamble signal vector,
   // excluding the peak's neighbourhood implicitly (one bin of 2^SF barely
@@ -22,7 +22,7 @@ double estimate_snr_db(const PacketContext& ctx, const SigCalc& sig) {
   const SignalVector sv =
       sig.vector_at(ctx.t0(), ctx.cfo_cycles(), /*up=*/true);
   std::vector<double> bins(sv.begin(), sv.end());
-  const double noise_median = dsp::median_of(bins);
+  const double noise_median = dsp::median_in_place(bins);
   const double noise_mean = noise_median / std::log(2.0);
   if (noise_mean <= 0.0 || peak <= 0.0) return 60.0;  // noiseless trace
 

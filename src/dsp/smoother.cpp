@@ -38,16 +38,19 @@ std::vector<double> smooth_fit(std::span<const double> data) {
 }
 
 double median_of(std::span<const double> data) {
-  if (data.empty()) return 0.0;
   std::vector<double> tmp(data.begin(), data.end());
-  const std::size_t mid = tmp.size() / 2;
-  std::nth_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(mid),
-                   tmp.end());
-  double m = tmp[mid];
-  if (tmp.size() % 2 == 0) {
+  return median_in_place(tmp);
+}
+
+double median_in_place(std::span<double> scratch) {
+  if (scratch.empty()) return 0.0;
+  const std::size_t mid = scratch.size() / 2;
+  const auto mid_it = scratch.begin() + static_cast<std::ptrdiff_t>(mid);
+  std::nth_element(scratch.begin(), mid_it, scratch.end());
+  double m = *mid_it;
+  if (scratch.size() % 2 == 0) {
     // Lower middle: largest of the first half.
-    double lower =
-        *std::max_element(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(mid));
+    const double lower = *std::max_element(scratch.begin(), mid_it);
     m = (m + lower) / 2.0;
   }
   return m;
@@ -62,7 +65,7 @@ double median_abs_dev(std::span<const double> data,
   for (std::size_t i = 0; i < data.size(); ++i) {
     dev[i] = std::abs(data[i] - fit[i]);
   }
-  return median_of(dev);
+  return median_in_place(dev);
 }
 
 }  // namespace tnb::dsp

@@ -29,6 +29,11 @@ std::vector<double> smooth_fit(std::span<const double> data);
 /// Median of a sequence (copies; n == 0 returns 0).
 double median_of(std::span<const double> data);
 
+/// Median of `scratch`, reordering it in place instead of copying: the
+/// allocation-free form for callers that already hold a private copy.
+/// Returns exactly what median_of returns on the same values.
+double median_in_place(std::span<double> scratch);
+
 /// Median of |data[i] - fit[i]|. Sizes must match.
 double median_abs_dev(std::span<const double> data,
                       std::span<const double> fit);

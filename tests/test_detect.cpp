@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/awgn.hpp"
+#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/frac_sync.hpp"
+#include "core/window.hpp"
+#include "dsp/smoother.hpp"
+#include "lora/demodulator.hpp"
 #include "lora/frame.hpp"
 #include "lora/modulator.hpp"
 
@@ -126,36 +131,168 @@ TEST(Detector, TwoSeparatedPackets) {
   EXPECT_NEAR(found[1].t0, t0b, 2.0 * p.osf);
 }
 
+/// One packet of a multi-packet trace.
+struct Placement {
+  double start = 0.0;  ///< fractional receiver sample
+  double cfo_hz = 0.0;
+  double amplitude = 1.0;
+};
+
+/// Superimposes one packet per placement on a `len`-sample trace plus AWGN.
+IqBuffer multi_packet_trace(const lora::Params& p,
+                            const std::vector<Placement>& placements,
+                            std::size_t len, double noise_power, Rng& rng) {
+  const lora::Modulator mod(p);
+  std::vector<std::uint8_t> app(14, 0x77);
+  const auto symbols = lora::make_packet_symbols(p, app);
+  IqBuffer trace(len, cfloat{0.0f, 0.0f});
+  for (const Placement& pl : placements) {
+    lora::WaveformOptions w;
+    w.cfo_hz = pl.cfo_hz;
+    w.amplitude = pl.amplitude;
+    const double start_floor = std::floor(pl.start);
+    w.frac_delay = pl.start - start_floor;
+    const IqBuffer pkt = mod.synthesize(symbols, w);
+    const std::size_t s0 = static_cast<std::size_t>(start_floor);
+    for (std::size_t i = 0; i < pkt.size() && s0 + i < len; ++i) {
+      trace[s0 + i] += pkt[i];
+    }
+  }
+  chan::add_awgn(trace, noise_power, rng);
+  return trace;
+}
+
+/// Two packets offset by ~3.5 symbols with different CFOs, so their
+/// preambles overlap.
+IqBuffer collided_trace(const lora::Params& p, double t0a, Rng& rng) {
+  const double sps = static_cast<double>(p.sps());
+  const std::size_t pkt_len = lora::Modulator(p).synthesize(
+      lora::make_packet_symbols(p, std::vector<std::uint8_t>(14, 0x77))).size();
+  return multi_packet_trace(
+      p, {{t0a, 1000.0, 1.0}, {t0a + 3.5 * sps, -2500.0, 1.0}},
+      pkt_len + 12 * p.sps(), 0.5, rng);
+}
+
 TEST(Detector, CollidedPreamblesBothFound) {
   // Two packets offset by ~3.5 symbols with different CFOs: preambles
   // overlap, both must be detected.
   const lora::Params p = test_params();
   Rng rng(6);
-  const lora::Modulator mod(p);
-  std::vector<std::uint8_t> app(14, 0x77);
-  const auto symbols = lora::make_packet_symbols(p, app);
-  lora::WaveformOptions wa, wb;
-  wa.cfo_hz = 1000.0;
-  wb.cfo_hz = -2500.0;
-  const IqBuffer pa = mod.synthesize(symbols, wa);
-  const IqBuffer pb = mod.synthesize(symbols, wb);
   const double t0a = 2000.0;
   const double t0b = t0a + 3.5 * static_cast<double>(p.sps());
-  IqBuffer trace(pa.size() + 12 * p.sps(), cfloat{0.0f, 0.0f});
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    trace[static_cast<std::size_t>(t0a) + i] += pa[i];
-  }
-  for (std::size_t i = 0; i < pb.size() &&
-                          static_cast<std::size_t>(t0b) + i < trace.size();
-       ++i) {
-    trace[static_cast<std::size_t>(t0b) + i] += pb[i];
-  }
-  chan::add_awgn(trace, 0.5, rng);
+  const IqBuffer trace = collided_trace(p, t0a, rng);
   const Detector det(p);
   const auto found = det.detect(trace);
   ASSERT_EQ(found.size(), 2u);
   EXPECT_NEAR(found[0].t0, t0a, 2.0 * p.osf);
   EXPECT_NEAR(found[1].t0, t0b, 2.0 * p.osf);
+}
+
+struct DirectValidation {
+  int score = 0;
+  double strength = 0.0;
+};
+
+/// Step 2's 12 checks (paper Section 7) at one (t0, CFO), each window
+/// demodulated on its own with nothing shared between checks: the
+/// preamble upchirps at bin 0, the two sync words at their shifts, the
+/// two downchirps at bin 0. A check passes when the energy near its bin
+/// (max over bin-1..bin+1) reaches `ratio` times the window's noise floor
+/// (median, kept above 1e-5 of the maximum).
+DirectValidation validate_directly(const lora::Params& p,
+                                   std::span<const cfloat> trace, double t0,
+                                   double cfo_cycles, double ratio) {
+  const lora::Demodulator demod(p);
+  lora::Workspace ws(p);
+  const std::size_t sps = p.sps();
+  const auto n = static_cast<std::int64_t>(p.n_bins());
+  std::vector<cfloat> window(sps);
+  SignalVector sv;
+  DirectValidation v;
+  auto check = [&](int sym, std::uint32_t bin, bool up) {
+    const double start = t0 + sym * static_cast<double>(sps);
+    if (start + static_cast<double>(sps) > static_cast<double>(trace.size())) {
+      return;
+    }
+    extract_window(trace, start, window);
+    demod.signal_vector_into(window, cfo_cycles, up, ws, sv);
+    const std::vector<double> bins(sv.begin(), sv.end());
+    const float mx = *std::max_element(sv.begin(), sv.end());
+    const double floor = std::max(
+        {dsp::median_of(bins), static_cast<double>(mx) * 1e-5, 1e-30});
+    double e = 0.0;
+    for (int d = -1; d <= 1; ++d) {
+      const auto b = floor_mod(static_cast<std::int64_t>(bin) + d, n);
+      e = std::max(e, static_cast<double>(sv[static_cast<std::size_t>(b)]));
+    }
+    const double rel = e / floor;
+    if (rel >= ratio) {
+      ++v.score;
+      v.strength += rel;
+    }
+  };
+  for (int m = 0; m < 8; ++m) check(m, 0, true);
+  check(8, lora::kSyncShift1, true);
+  check(9, lora::kSyncShift2, true);
+  check(10, 0, false);
+  check(11, 0, false);
+  return v;
+}
+
+TEST(Detector, ValidationMatchesDirectEvaluation) {
+  // The detector shares demodulated windows across step-2 checks; every
+  // detection's score and strength must equal the checks evaluated one
+  // window at a time.
+  struct Case {
+    lora::Params p;
+    IqBuffer trace;
+    std::size_t min_found;
+  };
+  std::vector<Case> cases;
+  {
+    Rng rng(6);
+    const lora::Params p = test_params();
+    cases.push_back({p, collided_trace(p, 2000.0, rng), 2});
+  }
+  for (unsigned sf : {7u, 8u, 12u}) {
+    for (unsigned osf : {1u, 8u}) {
+      const lora::Params p{
+          .sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = osf};
+      Rng rng(10 * sf + osf);
+      const double t0a = 1.95 * static_cast<double>(p.sps()) + 0.37 * osf;
+      cases.push_back({p, collided_trace(p, t0a, rng), 2});
+    }
+  }
+  {
+    // Dense: eight packets within ~two packet lengths, random placement,
+    // CFO and a 10 dB amplitude spread.
+    const lora::Params p{.sf = 8, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
+    Rng rng(31);
+    const double sps = static_cast<double>(p.sps());
+    std::vector<Placement> placements;
+    for (int i = 0; i < 8; ++i) {
+      placements.push_back({rng.uniform(0.5, 60.0) * sps,
+                            rng.uniform(-4000.0, 4000.0),
+                            std::pow(10.0, rng.uniform(-0.25, 0.25))});
+    }
+    const IqBuffer trace =
+        multi_packet_trace(p, placements, 110 * p.sps(), 0.5, rng);
+    cases.push_back({p, trace, 6});
+  }
+
+  const double ratio = DetectorOptions{}.peak_floor_ratio;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("sf=" + std::to_string(c.p.sf) +
+                 " osf=" + std::to_string(c.p.osf));
+    const auto found = Detector(c.p).detect(c.trace);
+    ASSERT_GE(found.size(), c.min_found);
+    for (const DetectedPacket& pkt : found) {
+      const DirectValidation v =
+          validate_directly(c.p, c.trace, pkt.t0, pkt.cfo_cycles, ratio);
+      EXPECT_EQ(pkt.validation_score, v.score) << "t0=" << pkt.t0;
+      EXPECT_EQ(pkt.strength, v.strength) << "t0=" << pkt.t0;
+    }
+  }
 }
 
 TEST(FracSync, RefinesFractionalCfo) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -71,6 +72,26 @@ TEST(Smoother, MedianOddEven) {
   EXPECT_NEAR(median_of(even), 2.5, 1e-12);
   std::vector<double> empty;
   EXPECT_EQ(median_of(empty), 0.0);
+}
+
+TEST(Smoother, MedianInPlaceEqualsMedianOf) {
+  const std::vector<std::vector<double>> inputs{
+      {3.0, 1.0, 2.0},                      // odd
+      {4.0, 1.0, 3.0, 2.0},                 // even
+      {2.0, 5.0, 2.0, 2.0, 7.0, 5.0},       // ties across the middle
+      {9.5},                                // length 1
+      {0.1, 0.7, 0.3, 0.3, 0.9, 0.2, 0.7},  // odd with ties
+  };
+  for (const auto& in : inputs) {
+    std::vector<double> scratch = in;
+    EXPECT_EQ(median_in_place(scratch), median_of(in));
+    std::sort(scratch.begin(), scratch.end());
+    std::vector<double> sorted = in;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(scratch, sorted);  // reordered, not altered
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(median_in_place(empty), 0.0);
 }
 
 TEST(Smoother, MedianAbsDev) {
