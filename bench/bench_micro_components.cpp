@@ -1,7 +1,7 @@
 // Microbenchmarks of TnB's computational kernels (google-benchmark):
 // FFT, signal-vector computation (by-value and workspace kernels), peak
-// finding, packet detection, frac-sync refinement, BEC block decoding, and
-// Thrive's per-checking-point assignment.
+// finding, packet detection, frac-sync refinement, BEC block decoding,
+// Thrive's per-checking-point assignment, and the streaming gateway.
 //
 // Invoked by the CI perf-smoke job as
 //   bench_micro_components --benchmark_out=BENCH_micro.json
@@ -29,6 +29,8 @@
 #include "lora/modulator.hpp"
 #include "sim/deployment.hpp"
 #include "sim/trace_builder.hpp"
+#include "stream/chunk_source.hpp"
+#include "stream/streaming_receiver.hpp"
 
 using namespace tnb;
 
@@ -154,6 +156,30 @@ void BM_DetectorDetect(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DetectorDetect)->Arg(8)->Arg(12)->Unit(benchmark::kMillisecond);
+
+void BM_StreamingConsume(benchmark::State& state) {
+  // StreamingReceiver over the same kind of capture (indoor deployment,
+  // 8 packets/s, 4 s of air, seed 7; OSF 8) in 16-symbol chunks, the
+  // tnb_streamd default: liveness scan, cuts and segment decodes.
+  const unsigned sf = static_cast<unsigned>(state.range(0));
+  const lora::Params p{.sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = 8};
+  Rng rng(7);
+  sim::TraceOptions opt;
+  opt.duration_s = 4.0;
+  opt.load_pps = 8.0;
+  opt.nodes = sim::indoor_deployment().draw_nodes(rng);
+  const sim::Trace trace = sim::build_trace(p, opt, rng);
+  stream::StreamingOptions sopt;
+  sopt.keep_packets = false;
+  for (auto _ : state) {
+    stream::StreamingReceiver srx(p, {}, sopt);
+    stream::BufferSource src(trace.iq);
+    benchmark::DoNotOptimize(srx.consume(src, 16 * p.sps()));
+    benchmark::DoNotOptimize(srx.stats().packets_emitted);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StreamingConsume)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_PeakFinder(benchmark::State& state) {
   Rng rng(2);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <optional>
+#include <stdexcept>
 
 #include "common/math_util.hpp"
 #include "core/window.hpp"
@@ -40,7 +40,7 @@ constexpr std::array<std::size_t, 3> kCheckBins{0, lora::kSyncShift1,
 /// One step-2 window of a downchirp hypothesis: its noise floor and the
 /// folded energy near each of kCheckBins (max over bin-1..bin+1, cyclic).
 /// Keyed by the exact start and chirp direction; the CFO is the
-/// hypothesis's, so the memo holding these lives for one hypothesis.
+/// hypothesis's, so the list holding these lives for one hypothesis.
 struct WindowEnergy {
   double start = 0.0;
   bool up = true;
@@ -50,12 +50,16 @@ struct WindowEnergy {
 
 }  // namespace
 
-/// The downchirp (x2) scan reads integer-grid windows at CFO 0, so its
-/// peak list depends on the window index alone. Candidates whose scan
-/// ranges overlap share it; `peaks[k]` is filled on first use.
-struct Detector::DownScanMemo {
-  std::vector<std::optional<std::vector<dsp::Peak>>> peaks;
-};
+void DetectMemo::rebase(std::size_t cut) {
+  resolved_.clear();
+  if (!config_) return;  // nothing scanned yet
+  const std::size_t sps = config_->first.sps();
+  // Off the sps grid no window survives (a stream's final cut).
+  const std::size_t drop =
+      cut % sps == 0 ? std::min(cut / sps, windows_.size()) : windows_.size();
+  windows_.erase(windows_.begin(),
+                 windows_.begin() + static_cast<std::ptrdiff_t>(drop));
+}
 
 Detector::Detector(lora::Params params, DetectorOptions opt)
     : p_(params), opt_(opt), demod_(params) {
@@ -66,7 +70,8 @@ Detector::Detector(lora::Params params, DetectorOptions opt)
 }
 
 std::vector<Detector::Candidate> Detector::find_runs(
-    std::span<const cfloat> trace, lora::Workspace& ws) const {
+    std::span<const cfloat> trace, DetectMemo& memo,
+    lora::Workspace& ws) const {
   const std::size_t sps = p_.sps();
   const double n = static_cast<double>(p_.n_bins());
   const std::size_t n_windows = trace.size() / sps;
@@ -75,7 +80,6 @@ std::vector<Detector::Candidate> Detector::find_runs(
     std::size_t first = 0;
     std::size_t last = 0;
     double bin = 0.0;        // running (latest) interpolated location
-    double power_sum = 0.0;
     double best_frac = 0.0;  // interpolated location of the strongest peak
     double best_power = 0.0;
   };
@@ -84,34 +88,37 @@ std::vector<Detector::Candidate> Detector::find_runs(
 
   auto finalize = [&](const Run& r) {
     if (r.last - r.first + 1 < opt_.min_run) return;
-    Candidate c;
-    c.first_window = r.first;
-    c.run_len = r.last - r.first + 1;
-    c.x1 = r.best_frac;
-    c.mean_power = r.power_sum / static_cast<double>(c.run_len);
-    candidates.push_back(c);
+    candidates.push_back({r.first, r.best_frac});
   };
 
   dsp::PeakFinderOptions pf;
   pf.circular = true;
   pf.max_peaks = opt_.max_peaks_per_window;
 
-  // Scan windows in batches of 8: they are contiguous full-symbol slices
-  // of the trace demodulated at CFO 0, so each chunk is one batched
-  // dechirp+FFT invocation (slot 1; slot 0 belongs to the later
-  // resolve_candidate phase). The run-tracking below is unchanged and
-  // still walks windows strictly in order.
+  // Peak lists the memo lacks are computed in batches of up to 8
+  // contiguous windows: full-symbol slices of the trace demodulated at
+  // CFO 0, so each batch is one dechirp+FFT invocation (slot 1; slot 0
+  // belongs to the later resolve_candidate phase). A batch is
+  // bit-identical to single transforms, so a window's peaks do not depend
+  // on which call or batch computed them.
   constexpr std::size_t kScanBatch = 8;
   auto& spectra = ws.iq_scratch(1);
   spectra.resize(kScanBatch * sps);
   SignalVector& sv = ws.sv_scratch(0);
-  for (std::size_t k0 = 0; k0 < n_windows; k0 += kScanBatch) {
-    const std::size_t batch = std::min(kScanBatch, n_windows - k0);
+  for (std::size_t k0 = 0; k0 < n_windows;) {
+    if (memo.windows_[k0].up) {
+      ++k0;
+      continue;
+    }
+    std::size_t batch = 1;
+    while (batch < kScanBatch && k0 + batch < n_windows &&
+           !memo.windows_[k0 + batch].up) {
+      ++batch;
+    }
     demod_.dechirp_fft_batch_into(
         trace.subspan(k0 * sps, batch * sps), batch, 0.0, /*up=*/true, ws,
         std::span<cfloat>(spectra.data(), batch * sps));
     for (std::size_t j = 0; j < batch; ++j) {
-      const std::size_t k = k0 + j;
       demod_.fold(std::span<const cfloat>(spectra.data() + j * sps, sps), sv);
       const double floor = noise_floor(sv);
       // Selectivity relative to the noise floor: a weak preamble must stay
@@ -119,60 +126,63 @@ std::vector<Detector::Candidate> Detector::find_runs(
       pf.sel = 4.0 * floor;
       pf.use_threshold = true;
       pf.threshold = opt_.peak_floor_ratio * floor;
-      const auto peaks = dsp::find_peaks(sv, pf);
-
-      for (const dsp::Peak& pk : peaks) {
-        const double loc = pk.frac_index;
-        bool matched = false;
-        for (Run& r : active) {
-          // Tolerate a single missed window (a collider can mask one peak).
-          if (r.last + 2 < k) continue;
-          if (r.last == k) continue;  // already extended this window
-          if (cyclic_dist(r.bin, loc, n) <= 1.5) {
-            r.last = k;
-            r.bin = loc;
-            r.power_sum += pk.value;
-            if (pk.value > r.best_power) {
-              r.best_power = pk.value;
-              r.best_frac = loc;
-            }
-            matched = true;
-            break;
-          }
-        }
-        if (!matched) {
-          Run r;
-          r.first = r.last = k;
-          r.bin = loc;
-          r.power_sum = pk.value;
-          r.best_frac = loc;
-          r.best_power = pk.value;
-          active.push_back(r);
-        }
-      }
-      // Retire runs that have missed two consecutive windows.
-      std::vector<Run> still;
-      for (std::size_t ri = 0; ri < active.size(); ++ri) {
-        if (active[ri].last + 2 > k) {
-          still.push_back(active[ri]);
-        } else {
-          finalize(active[ri]);
-        }
-      }
-      active = std::move(still);
+      memo.windows_[k0 + j].up = dsp::find_peaks(sv, pf);
     }
+    k0 += batch;
+  }
+
+  // Run tracking walks the windows strictly in order.
+  for (std::size_t k = 0; k < n_windows; ++k) {
+    for (const dsp::Peak& pk : *memo.windows_[k].up) {
+      const double loc = pk.frac_index;
+      bool matched = false;
+      for (Run& r : active) {
+        // Tolerate a single missed window (a collider can mask one peak).
+        if (r.last + 2 < k) continue;
+        if (r.last == k) continue;  // already extended this window
+        if (cyclic_dist(r.bin, loc, n) <= 1.5) {
+          r.last = k;
+          r.bin = loc;
+          if (pk.value > r.best_power) {
+            r.best_power = pk.value;
+            r.best_frac = loc;
+          }
+          matched = true;
+          break;
+        }
+      }
+      if (!matched) {
+        Run r;
+        r.first = r.last = k;
+        r.bin = loc;
+        r.best_frac = loc;
+        r.best_power = pk.value;
+        active.push_back(r);
+      }
+    }
+    // Retire runs that have missed two consecutive windows.
+    std::vector<Run> still;
+    for (std::size_t ri = 0; ri < active.size(); ++ri) {
+      if (active[ri].last + 2 > k) {
+        still.push_back(active[ri]);
+      } else {
+        finalize(active[ri]);
+      }
+    }
+    active = std::move(still);
   }
   for (const Run& r : active) finalize(r);
   return candidates;
 }
 
-void Detector::resolve_candidate(std::span<const cfloat> trace,
-                                 const Candidate& cand, DownScanMemo& down,
-                                 lora::Workspace& ws,
-                                 std::vector<DetectedPacket>& out) const {
+DetectMemo::Resolved Detector::resolve_candidate(
+    std::span<const cfloat> trace, const Candidate& cand, DetectMemo& memo,
+    lora::Workspace& ws) const {
   const std::size_t sps = p_.sps();
   const double n = static_cast<double>(p_.n_bins());
   const double osf = static_cast<double>(p_.osf);
+  const double size = static_cast<double>(trace.size());
+  DetectMemo::Resolved res;
 
   // --- Collect downchirp peak hypotheses (x2) after the run. With
   // collided preambles the strongest downchirp in this range can belong to
@@ -190,8 +200,9 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
   const std::size_t k_hi = cand.first_window + 13;
   SignalVector& sv = ws.sv_scratch(0);
   for (std::size_t k = k_lo; k <= k_hi; ++k) {
+    res.reach = std::max(res.reach, static_cast<double>((k + 1) * sps));
     if ((k + 1) * sps > trace.size()) break;
-    std::optional<std::vector<dsp::Peak>>& peaks = down.peaks[k];
+    std::optional<std::vector<dsp::Peak>>& peaks = memo.windows_[k].down;
     if (!peaks) {
       demod_.signal_vector_into(trace.subspan(k * sps, sps), 0.0,
                                 /*up=*/false, ws, sv);
@@ -215,7 +226,7 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
       if (!merged) hyps.push_back({pk.frac_index, static_cast<double>(pk.value)});
     }
   }
-  if (hyps.empty()) return;  // no downchirp anywhere: not a LoRa preamble
+  if (hyps.empty()) return res;  // no downchirp anywhere: not a LoRa preamble
   std::sort(hyps.begin(), hyps.end(),
             [](const DownHyp& a, const DownHyp& b) { return a.height > b.height; });
   if (hyps.size() > 6) hyps.resize(6);
@@ -224,11 +235,11 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
   // t0_prelim + (j+m) symbols, so the 5 x 12 checks of one hypothesis
   // share about 20 distinct windows. Each is demodulated once; a start
   // that differs by even one ulp is a separate entry, never approximated.
-  std::vector<WindowEnergy> memo;
+  std::vector<WindowEnergy> energies;
   const std::int64_t n_bins = static_cast<std::int64_t>(p_.n_bins());
   auto window_energy = [&](double start, double cfo_cycles,
                            bool up) -> WindowEnergy {
-    for (const WindowEnergy& w : memo) {
+    for (const WindowEnergy& w : energies) {
       if (w.start == start && w.up == up) return w;
     }
     auto& window = ws.iq_scratch(0);
@@ -246,12 +257,10 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
         w.energy[i] = std::max(w.energy[i], static_cast<double>(sv[b]));
       }
     }
-    memo.push_back(w);
+    energies.push_back(w);
     return w;
   };
 
-  int best_score = -1;
-  double best_t0 = 0.0, best_eps = 0.0, best_strength = 0.0;
   for (const DownHyp& hyp : hyps) {
     // --- Step 3: coarse CFO and timing from x1, x2. ---
     // x1 = delta + eps, x2 = -delta + eps (mod N). (x1+x2)/2 gives eps up
@@ -266,7 +275,7 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
     const double delta = floor_mod(cand.x1 - eps, n);  // chirp samples
 
     // --- Step 2: validate candidate start times at j*T offsets. ---
-    memo.clear();  // entries hold this hypothesis's CFO
+    energies.clear();  // entries hold this hypothesis's CFO
     const double w0 = static_cast<double>(cand.first_window * sps);
     const double t0_prelim = w0 - delta * osf;
     for (int j = -2; j <= 2; ++j) {
@@ -278,10 +287,9 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
       // `slot` indexes kCheckBins.
       auto check = [&](double sym_idx, std::size_t slot, bool up) {
         const double start = t0 + sym_idx * static_cast<double>(sps);
-        if (start + static_cast<double>(sps) >
-            static_cast<double>(trace.size())) {
-          return;
-        }
+        const double end = start + static_cast<double>(sps);
+        res.reach = std::max(res.reach, end);
+        if (end > size) return;
         const WindowEnergy w = window_energy(start, eps, up);
         const double rel = w.energy[slot] / w.floor;
         if (rel >= opt_.peak_floor_ratio) {
@@ -294,25 +302,18 @@ void Detector::resolve_candidate(std::span<const cfloat> trace,
       check(9.0, 2, true);
       check(10.0, 0, false);
       check(11.0, 0, false);
-      if (score > best_score ||
-          (score == best_score && strength > best_strength)) {
-        best_score = score;
-        best_t0 = t0;
-        best_eps = eps;
-        best_strength = strength;
+      if (score > res.score ||
+          (score == res.score && strength > res.strength)) {
+        res.score = score;
+        res.t0 = t0;
+        res.cfo_cycles = eps;
+        res.strength = strength;
       }
-      if (best_score == 12) break;  // perfect: no point shifting further
+      if (res.score == 12) break;  // perfect: no point shifting further
     }
-    if (best_score == 12) break;
+    if (res.score == 12) break;
   }
-  if (best_score < opt_.min_validation_score) return;
-
-  DetectedPacket pkt;
-  pkt.t0 = best_t0;
-  pkt.cfo_cycles = best_eps;
-  pkt.strength = best_strength;
-  pkt.validation_score = best_score;
-  out.push_back(pkt);
+  return res;
 }
 
 std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace) const {
@@ -321,14 +322,39 @@ std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace) cons
 }
 
 std::vector<DetectedPacket> Detector::detect(std::span<const cfloat> trace,
-                                             lora::Workspace& ws) const {
+                                             lora::Workspace& ws,
+                                             DetectMemo* memo) const {
   ws.reserve(p_);
+  DetectMemo local;
+  DetectMemo& m = memo != nullptr ? *memo : local;
+  DetectorOptions shared = opt_;
+  shared.min_validation_score = 0;  // each detector gates on its own
+  if (!m.config_) {
+    m.config_.emplace(p_, shared);
+  } else if (m.config_->first != p_ || m.config_->second != shared) {
+    throw std::invalid_argument(
+        "Detector::detect: memo was filled under another configuration");
+  }
+  const std::size_t n_windows = trace.size() / p_.sps();
+  if (m.windows_.size() < n_windows) m.windows_.resize(n_windows);
+
   std::vector<DetectedPacket> out;
-  const std::vector<Candidate> candidates = find_runs(trace, ws);
-  DownScanMemo down;
-  down.peaks.resize(trace.size() / p_.sps());
-  for (const Candidate& cand : candidates) {
-    resolve_candidate(trace, cand, down, ws, out);
+  const double size = static_cast<double>(trace.size());
+  for (const Candidate& cand : find_runs(trace, m, ws)) {
+    const std::pair<std::size_t, double> key{cand.first_window, cand.x1};
+    const auto it = m.resolved_.find(key);
+    DetectMemo::Resolved r;
+    if (it != m.resolved_.end() && it->second.reach <= size) {
+      r = it->second;
+    } else {
+      r = resolve_candidate(trace, cand, m, ws);
+      // A result that ran into the trace end depends on where the trace
+      // ends, so it is never stored.
+      if (r.reach <= size) m.resolved_.insert_or_assign(key, r);
+    }
+    if (r.score >= 0 && r.score >= opt_.min_validation_score) {
+      out.push_back({r.t0, r.cfo_cycles, r.strength, r.score});
+    }
   }
   std::sort(out.begin(), out.end(),
             [](const DetectedPacket& a, const DetectedPacket& b) {

@@ -114,12 +114,13 @@ void Receiver::set_sync_factory(SyncFactory factory) {
 }
 
 std::vector<sim::DecodedPacket> Receiver::decode(
-    std::span<const cfloat> trace, Rng& rng, ReceiverStats* stats) const {
-  return decode_multi({trace}, rng, stats);
+    std::span<const cfloat> trace, Rng& rng, ReceiverStats* stats,
+    DetectMemo* memo) const {
+  return decode_with_detections({trace}, detect({trace}, memo), rng, stats);
 }
 
 std::vector<DetectedPacket> Receiver::detect(
-    std::vector<std::span<const cfloat>> antennas) const {
+    std::vector<std::span<const cfloat>> antennas, DetectMemo* memo) const {
   std::vector<DetectedPacket> detections;
   if (antennas.empty() || antennas[0].empty()) return detections;
   if (sync_factory_) {
@@ -141,11 +142,12 @@ std::vector<DetectedPacket> Receiver::detect(
 
     // Detect on every antenna: a packet faded on one antenna during its
     // preamble is often clean on another (the diversity TnB2ant relies on).
-    for (const auto& ant : antennas) {
+    for (std::size_t a = 0; a < antennas.size(); ++a) {
+      const std::span<const cfloat> ant = antennas[a];
       std::vector<DetectedPacket> found;
       {
         const obs::ScopedSpan span(obs_.stages.detect);
-        found = detector.detect(ant, ws);
+        found = detector.detect(ant, ws, a == 0 ? memo : nullptr);
       }
       if (opt_.use_frac_sync) {
         for (DetectedPacket& det : found) {

@@ -117,10 +117,14 @@ class Receiver {
   using SyncFactory = std::function<std::unique_ptr<FrameSync>()>;
   void set_sync_factory(SyncFactory factory);
 
-  /// Decodes a single-antenna trace.
+  /// Decodes a single-antenna trace. A `memo` is handed to the built-in
+  /// Detector (see DetectMemo; a StreamingReceiver shares one between its
+  /// liveness scan and its segment decodes); the output is the same with
+  /// or without it.
   std::vector<sim::DecodedPacket> decode(std::span<const cfloat> trace,
                                          Rng& rng,
-                                         ReceiverStats* stats = nullptr) const;
+                                         ReceiverStats* stats = nullptr,
+                                         DetectMemo* memo = nullptr) const;
 
   /// Decodes a multi-antenna trace (signal vectors summed across antennas;
   /// detection runs on antenna 0).
@@ -131,9 +135,11 @@ class Receiver {
   /// Runs detection + fractional sync only. The result can be fed to
   /// decode_with_detections — e.g. to decode the same trace with several
   /// schemes without re-detecting (all schemes share TnB's detector, as in
-  /// the paper's methodology).
+  /// the paper's methodology). A `memo` serves antenna 0's detection and
+  /// is ignored by a custom front end (set_sync_factory).
   std::vector<DetectedPacket> detect(
-      std::vector<std::span<const cfloat>> antennas) const;
+      std::vector<std::span<const cfloat>> antennas,
+      DetectMemo* memo = nullptr) const;
 
   /// Decodes with externally supplied (already refined) detections.
   std::vector<sim::DecodedPacket> decode_with_detections(

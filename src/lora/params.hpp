@@ -37,6 +37,8 @@ struct Params {
   /// for robustness on long symbols (LoRa enables this at SF 11/12).
   bool ldro = false;
 
+  friend bool operator==(const Params&, const Params&) = default;
+
   void validate() const {
     if (sf < 5 || sf > 12) throw std::invalid_argument("Params: SF must be 5..12");
     if (cr < 1 || cr > 4) throw std::invalid_argument("Params: CR must be 1..4");

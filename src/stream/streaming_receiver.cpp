@@ -70,7 +70,6 @@ StreamingReceiver::StreamingReceiver(lora::Params p, rx::ReceiverOptions ropt,
       (max_span_samples_ + tail_guard_samples_) / sps + 8;
   sopt_.window_symbols = std::max(sopt_.window_symbols, min_window);
   window_samples_ = sopt_.window_symbols * sps;
-  lookback_samples_ = 8 * sps;
   forced_cut_samples_ = window_samples_ + window_samples_ / 4;
 
   obs::Registry* reg = obs::resolve(ropt.metrics);
@@ -170,19 +169,14 @@ void StreamingReceiver::scan_new_detections() {
   const std::size_t new_frontier = align_down(end_g - tail_guard_samples_);
   if (new_frontier <= det_frontier_) return;
 
-  // Rescan a short overlap behind the old frontier: a preamble with t0 just
-  // past it needs up to two symbols of leading context (the detector's
-  // step-2 shifts), and its run's first window can sit 2 T before t0.
-  std::size_t scan_start = base_;
-  if (det_frontier_ > lookback_samples_) {
-    scan_start = std::max(scan_start, align_down(det_frontier_ - lookback_samples_));
-  }
-  const std::span<const cfloat> region(buf_.data() + (scan_start - base_),
-                                       buf_.size() - (scan_start - base_));
-  const std::vector<rx::DetectedPacket> dets = live_detector_.detect(region, ws_);
+  // The whole window is scanned in the segment decode's frame (origin
+  // base_), so the memo serves both; windows and candidates already
+  // resolved cost a lookup.
+  const std::vector<rx::DetectedPacket> dets =
+      live_detector_.detect(buf_, ws_, &memo_);
   const double t_tol = 1.25 * static_cast<double>(sps);
   for (const rx::DetectedPacket& det : dets) {
-    const double t0g = static_cast<double>(scan_start) + det.t0;
+    const double t0g = static_cast<double>(base_) + det.t0;
     bool dup = false;
     for (const LivePacket& lp : live_) {
       if (std::abs(lp.t0 - t0g) < t_tol) {
@@ -335,7 +329,7 @@ void StreamingReceiver::decode_segment(std::size_t cut) {
   std::vector<sim::DecodedPacket> decoded;
   {
     const obs::ScopedSpan span(obs_.segment_decode);
-    decoded = rx_.decode(segment, rng, &seg_stats);
+    decoded = rx_.decode(segment, rng, &seg_stats, &memo_);
   }
   st_.rx += seg_stats;
   ++st_.segments;
@@ -351,6 +345,7 @@ void StreamingReceiver::decode_segment(std::size_t cut) {
 
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(cut));
   base_ += cut;
+  memo_.rebase(cut);
   st_.samples_retired += cut;
   obs_.samples_retired.inc(cut);
   obs_.window_samples.set(static_cast<std::int64_t>(buf_.size()));

@@ -2,8 +2,8 @@
 // pipeline with bounded memory (paper Fig. 3, run on a flowing stream).
 //
 // Chunks of arbitrary size are assembled into a sliding window that always
-// starts on a symbol boundary of the global sample grid. An incremental
-// detection pass (the receiver's own Detector, run with a slightly more
+// starts on a symbol boundary of the global sample grid. A detection pass
+// over the window (the receiver's own Detector, run with a slightly more
 // permissive validation gate) tracks live packets across chunk boundaries;
 // whenever the window holds at least `window_symbols` of samples, the
 // stream is cut at the latest symbol-aligned point that no live packet's
@@ -11,8 +11,11 @@
 // Receiver (detection, Thrive, BEC, two-pass). Decoded packets are emitted
 // with trace-global sample positions and their samples retire immediately.
 //
+// Both detection passes share one rx::DetectMemo, so a symbol window is
+// demodulated once while it is resident.
+//
 // Because cuts land only on quiet, symbol-aligned points, segment decoding
-// is exactly equivalent to one-shot decoding of the whole trace: detection
+// is equivalent to one-shot decoding of the whole trace: detection
 // windows, checking points, masks and history never span a cut, so the
 // decoded packet set is identical for every chunk size (see DESIGN.md
 // "Streaming gateway"). When traffic never goes quiet (packets chained
@@ -141,7 +144,7 @@ class StreamingReceiver {
 
   void ingest(std::span<const cfloat> slice);
   void maybe_flush(bool eof);
-  /// Extends live-packet tracking over newly arrived samples.
+  /// Rescans the window for live packets once new samples arrived.
   void scan_new_detections();
   /// Shrinks conservative spans to the real packet length by argmax-
   /// demodulating the (checksum-protected) PHY header once its symbols
@@ -156,6 +159,9 @@ class StreamingReceiver {
   StreamingOptions sopt_;
   rx::Receiver rx_;
   rx::Detector live_detector_;  ///< more permissive gate; cut safety only
+  /// Shared by the liveness scan and the segment decodes; its origin
+  /// follows base_.
+  rx::DetectMemo memo_;
   lora::Demodulator demod_;     ///< header demod for span refinement
   lora::Workspace ws_;          ///< scratch for live detection + header demod
 
@@ -168,7 +174,6 @@ class StreamingReceiver {
 
   std::size_t window_samples_;
   std::size_t tail_guard_samples_;
-  std::size_t lookback_samples_;   ///< detection rescan overlap
   std::size_t max_span_samples_;   ///< conservative live-packet span
   std::size_t forced_cut_samples_;  ///< force a cut beyond this backlog
 

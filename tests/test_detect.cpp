@@ -295,6 +295,107 @@ TEST(Detector, ValidationMatchesDirectEvaluation) {
   }
 }
 
+/// Bit-for-bit equality of two detection lists, field by field.
+void expect_same_detections(const std::vector<DetectedPacket>& got,
+                            const std::vector<DetectedPacket>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].t0, want[i].t0) << "detection " << i;
+    EXPECT_EQ(got[i].cfo_cycles, want[i].cfo_cycles) << "detection " << i;
+    EXPECT_EQ(got[i].strength, want[i].strength) << "detection " << i;
+    EXPECT_EQ(got[i].validation_score, want[i].validation_score)
+        << "detection " << i;
+  }
+}
+
+TEST(DetectMemo, StreamingReplayMatchesMemolessDetect) {
+  // The streaming gateway's pattern: a relaxed-gate scan over a growing
+  // window, now and then a strict-gate detect over a prefix of it (the
+  // segment decode), then a cut at an sps multiple. Every call through the
+  // shared memo must equal a memo-less detect of the same span.
+  for (unsigned sf : {7u, 8u, 12u}) {
+    for (unsigned osf : {1u, 8u}) {
+      const lora::Params p{
+          .sf = sf, .cr = 4, .bandwidth_hz = 125e3, .osf = osf};
+      SCOPED_TRACE("sf=" + std::to_string(sf) + " osf=" + std::to_string(osf));
+      const std::size_t sps = p.sps();
+      Rng rng(100 + 10 * sf + osf);
+      const double t0a = 1.95 * static_cast<double>(sps) + 0.37 * osf;
+      const IqBuffer trace = collided_trace(p, t0a, rng);
+      const std::span<const cfloat> all(trace);
+
+      DetectorOptions relaxed_opt;
+      relaxed_opt.min_validation_score = 6;
+      const Detector relaxed(p, relaxed_opt);
+      const Detector strict(p);
+      DetectMemo memo;
+      lora::Workspace ws(p);
+      std::size_t base = 0;
+      std::size_t end = 0;
+      std::size_t held = 0;  // most candidate results the memo held at once
+      std::size_t found = 0;
+      // Steps off the symbol grid, so prefixes end mid-window and cut
+      // preambles and validation spans short.
+      const std::size_t step = 5 * sps + sps / 3 + 1;
+      for (int call = 1; end < trace.size(); ++call) {
+        end = std::min(trace.size(), end + step);
+        const auto window = all.subspan(base, end - base);
+        const auto dets = relaxed.detect(window, ws, &memo);
+        expect_same_detections(dets, relaxed.detect(window, ws));
+        found += dets.size();
+        held = std::max(held, memo.candidate_entries());
+        if (call % 3 != 0) continue;
+        const std::size_t cut = (window.size() * 2 / 3) / sps * sps;
+        if (cut == 0) continue;
+        expect_same_detections(strict.detect(window.first(cut), ws, &memo),
+                               strict.detect(window.first(cut), ws));
+        memo.rebase(cut);
+        base += cut;
+        EXPECT_EQ(memo.candidate_entries(), 0u);
+        EXPECT_LE(memo.window_entries(), (end - base) / sps);
+      }
+      const auto rest = all.subspan(base);
+      expect_same_detections(strict.detect(rest, ws, &memo),
+                             strict.detect(rest, ws));
+      EXPECT_GT(found, 0u);
+      EXPECT_GT(held, 0u) << "no candidate result was ever kept";
+    }
+  }
+}
+
+TEST(DetectMemo, RejectsAnotherConfiguration) {
+  const lora::Params p = test_params();
+  Rng rng(6);
+  const IqBuffer trace = collided_trace(p, 2000.0, rng);
+  lora::Workspace ws(p);
+  DetectMemo memo;
+  ASSERT_FALSE(Detector(p).detect(trace, ws, &memo).empty());
+
+  // Only the validation gate may differ between detectors sharing a memo.
+  DetectorOptions gate;
+  gate.min_validation_score = 4;
+  EXPECT_NO_THROW(Detector(p, gate).detect(trace, ws, &memo));
+
+  std::vector<DetectorOptions> others(4);
+  others[0].peak_floor_ratio = 6.0;
+  others[1].min_run = 4;
+  others[2].max_cfo_cycles = 3.0;
+  others[3].max_peaks_per_window = 8;
+  for (const DetectorOptions& opt : others) {
+    EXPECT_THROW(Detector(p, opt).detect(trace, ws, &memo),
+                 std::invalid_argument);
+  }
+  lora::Params other = p;
+  other.cr = 2;
+  lora::Workspace other_ws(other);
+  EXPECT_THROW(Detector(other).detect(trace, other_ws, &memo),
+               std::invalid_argument);
+  // A rebase keeps the configuration.
+  memo.rebase(4 * p.sps());
+  EXPECT_THROW(Detector(p, others[0]).detect(trace, ws, &memo),
+               std::invalid_argument);
+}
+
 TEST(FracSync, RefinesFractionalCfo) {
   const lora::Params p = test_params();
   Rng rng(7);

@@ -77,14 +77,18 @@ TEST(Streaming, ChunkBoundaryEquivalence) {
 
     EXPECT_EQ(payload_multiset(srx.packets()), payload_multiset(reference));
     // Streaming reports trace-global positions; compare against one-shot.
+    // Step 2 runs in the segment's frame, so a start can differ from the
+    // one-shot start in its last bits (measured max |delta| 2.9e-11).
     const auto got = sorted_starts(srx.packets());
     const auto want = sorted_starts(reference);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_NEAR(got[i], want[i], 1.0);
+      EXPECT_NEAR(got[i], want[i], 1e-6);
     }
 
     const StreamingStats& st = srx.stats();
+    // The equivalence holds only when every cut was clean.
+    EXPECT_EQ(st.forced_cuts, 0u);
     const std::size_t window_samples =
         srx.options().window_symbols * p.sps();
     EXPECT_GE(st.segments, 2u) << "cuts never happened; trivial equivalence";
